@@ -10,8 +10,8 @@ from .classical import (ClassicalPoint, CriticalValue, EMImage,
                         OrbitSpaceReport, ReducedPoint, ReducedVolumeProfile,
                         dh_volume, em_image, h_classical, orbit_space_check,
                         reduced_invariants, syzygy_residual)
-from .linalg import (EigenDecomposition, EigenSolverError, SpinOperators,
-                     eigh, hermitian_matrix, spin_operators)
+from .linalg import (EigenDecomposition, SpinOperators, eigh, hermitian_matrix,
+                     spin_operators)
 from .monodromy import (LatticeCell, QuantumLattice, TransportAmbiguityError,
                         TransportError, TransportResult, build_lattice,
                         transport_cell)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "PhysParams",
     "hermitian_matrix", "spin_operators", "SpinOperators",
-    "eigh", "EigenDecomposition", "EigenSolverError",
+    "eigh", "EigenDecomposition",
     "jz_values", "jz_blocks", "JzBlock",
     "joint_spectrum", "JointSpectrum", "Level",
     "assign_bands", "BandDecomposition", "BandAssignmentError",

@@ -2,24 +2,25 @@
 
 Each run is driven by a single JSON config file and writes machine-readable
 CSV/JSON outputs into --out.  Exit codes: 0 success, 2 config error,
-3 numerical refusal (wall or unassignable bands), 4 transport ambiguity.
+3 numerical refusal (wall, unassignable bands, too coarse a mesh, or a
+failed eigensolve), 4 transport ambiguity.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .classical import dh_volume, em_image
 from .monodromy import (LatticeCell, TransportAmbiguityError, TransportError,
                         build_lattice, transport_cell)
 from .params import PhysParams
-from .semiquantum import chern_numbers, sphere_mesh
+from .semiquantum import MeshTooCoarseError, chern_numbers, sphere_mesh
 from .serialize import write_csv, write_json
 from .spectrum import BandAssignmentError, assign_bands, joint_spectrum, \
     sweep_spectral_flow
@@ -64,28 +65,19 @@ def load_config(path) -> dict:
 
 
 def parse_params(config: dict, need_a: bool) -> PhysParams:
+    """Look up the params keys; PhysParams validates their values."""
     raw = config.get("params")
     _require(isinstance(raw, dict), "config needs a 'params' object")
     for key in ("delta", "d", "gamma_re", "gamma_im", "L", "S"):
         _require(key in raw, f"params.{key} is required")
-    delta = _finite_real(raw["delta"], "params.delta")
-    d = _finite_real(raw["d"], "params.d")
+    _require(not need_a or "A" in raw, "params.A is required for this command")
     gamma = complex(_finite_real(raw["gamma_re"], "params.gamma_re"),
                     _finite_real(raw["gamma_im"], "params.gamma_im"))
-    _require(isinstance(raw["L"], int) and not isinstance(raw["L"], bool)
-             and raw["L"] >= 0, "params.L must be a non-negative integer")
-    s = _finite_real(raw["S"], "params.S")
-    _require(s >= 0 and abs(2 * s - round(2 * s)) < 1e-12,
-             "params.S must be a non-negative integer or half-integer")
-    if need_a:
-        _require("A" in raw, "params.A is required for this command")
-        a = _finite_real(raw["A"], "params.A")
-    else:
-        a = _finite_real(raw.get("A", 0.0), "params.A")
     try:
-        return PhysParams(A=a, delta=delta, d=d, gamma=gamma, L=raw["L"], S=s)
+        return PhysParams(A=raw.get("A", 0.0), delta=raw["delta"], d=raw["d"],
+                          gamma=gamma, L=raw["L"], S=raw["S"])
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"params: {exc}") from exc
 
 
 def parse_a_grid(config: dict) -> list[float]:
@@ -121,19 +113,7 @@ def parse_jz_grid(config: dict) -> list[float]:
     return out
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("BANDFLOW_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"BANDFLOW_THREADS={env!r} is not an integer") from exc
-    return 1
-
-
-def cmd_spectrum(config: dict, out_dir: Path, args) -> int:
+def cmd_spectrum(config: dict, out_dir: Path) -> int:
     params = parse_params(config, need_a=False)
     a_grid = parse_a_grid(config)
     rows = []
@@ -157,7 +137,7 @@ def cmd_spectrum(config: dict, out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-def cmd_chern(config: dict, out_dir: Path, args) -> int:
+def cmd_chern(config: dict, out_dir: Path) -> int:
     params = parse_params(config, need_a=False)
     a_grid = parse_a_grid(config)
     mesh_cfg = config.get("mesh", {})
@@ -167,16 +147,7 @@ def cmd_chern(config: dict, out_dir: Path, args) -> int:
     _require(isinstance(n_theta, int) and isinstance(n_phi, int),
              "mesh.n_theta and mesh.n_phi must be integers")
     mesh = sphere_mesh(n_theta, n_phi)
-
-    def one(a):
-        return chern_numbers(replace(params, A=a), mesh)
-
-    threads = _thread_count(args)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(one, a_grid))
-    else:
-        reports = [one(a) for a in a_grid]
+    reports = [chern_numbers(replace(params, A=a), mesh) for a in a_grid]
 
     n_bands = params.n_bands
     header = ["A"] + [f"ch_{b}" for b in range(n_bands)] + \
@@ -195,7 +166,7 @@ def cmd_chern(config: dict, out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-def cmd_emmap(config: dict, out_dir: Path, args) -> int:
+def cmd_emmap(config: dict, out_dir: Path) -> int:
     params = parse_params(config, need_a=True)
     jz_grid = parse_jz_grid(config)
     scan_points = config.get("scan_points", 2001)
@@ -214,7 +185,7 @@ def cmd_emmap(config: dict, out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-def cmd_dh(config: dict, out_dir: Path, args) -> int:
+def cmd_dh(config: dict, out_dir: Path) -> int:
     params = parse_params(config, need_a=False)
     jz_grid = parse_jz_grid(config)
     _require(params.S > 0 and params.L > 0, "dh needs positive S and L")
@@ -224,7 +195,7 @@ def cmd_dh(config: dict, out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-def cmd_monodromy(config: dict, out_dir: Path, args) -> int:
+def cmd_monodromy(config: dict, out_dir: Path) -> int:
     params = parse_params(config, need_a=True)
     section = config.get("monodromy")
     _require(isinstance(section, dict), "config needs a 'monodromy' object")
@@ -266,7 +237,7 @@ def cmd_monodromy(config: dict, out_dir: Path, args) -> int:
     return EXIT_OK
 
 
-def cmd_flow(config: dict, out_dir: Path, args) -> int:
+def cmd_flow(config: dict, out_dir: Path) -> int:
     params = parse_params(config, need_a=False)
     section = config.get("flow")
     _require(isinstance(section, dict), "config needs a 'flow' object")
@@ -317,11 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="worker threads for A sweeps "
-                              "(default: BANDFLOW_THREADS or 1)")
-        cmd.add_argument("--seed", type=int, default=0,
-                         help="seed reserved for sampling-based outputs")
     return parser
 
 
@@ -331,7 +297,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](config, out_dir, args)
+        return COMMANDS[args.command](config, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -341,7 +307,8 @@ def main(argv=None) -> int:
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BandAssignmentError as exc:
+    except (BandAssignmentError, MeshTooCoarseError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it must be caught first.
         print(f"refusal: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
     except ValueError as exc:

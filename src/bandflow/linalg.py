@@ -1,38 +1,33 @@
-"""Dense complex Hermitian matrices, spin operator construction, and a
-cyclic Jacobi eigensolver for the small blocks this package produces."""
+"""Dense complex Hermitian matrices, spin operator construction, and the
+LAPACK eigensolver every layer uses for its small blocks."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
-JACOBI_RTOL = 1e-13
-JACOBI_MAX_SWEEPS = 40
-
-
-class EigenSolverError(RuntimeError):
-    """Jacobi iteration failed to reach the convergence threshold."""
 
 
 def hermitian_matrix(entries, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate a square complex matrix as Hermitian and return it symmetrized.
+    """Validate a square complex matrix, or a ``(..., n, n)`` stack of them,
+    as Hermitian and return it symmetrized.
 
-    Rejects non-square input, non-finite entries, and matrices whose
+    Rejects non-square input, non-finite entries, and any matrix whose
     anti-Hermitian part exceeds ``atol`` in absolute value.
     """
     h = np.asarray(entries, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
+    if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries must be finite")
-    defect = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
+    h_dag = np.swapaxes(h, -1, -2).conj()
+    defect = np.max(np.abs(h - h_dag)) if h.size else 0.0
     if defect > atol:
         raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {defect:.3e}")
-    return 0.5 * (h + h.conj().T)
+    return 0.5 * (h + h_dag)
 
 
 @dataclass(frozen=True)
@@ -83,77 +78,13 @@ class EigenDecomposition(NamedTuple):
     vectors: np.ndarray
 
 
-def _offdiag_norm(h: np.ndarray) -> float:
-    off = h - np.diag(np.diag(h))
-    return float(np.linalg.norm(off))
+def eigh(entries, atol: float = HERMITIAN_ATOL) -> EigenDecomposition:
+    """Diagonalize a complex Hermitian matrix, or a ``(..., n, n)`` stack of
+    them, in one LAPACK call.
 
-
-def eigh(entries, atol: float = HERMITIAN_ATOL,
-         max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecomposition:
-    """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps run in fixed row-major order over index pairs, so the output is
-    deterministic for identical input.  Convergence requires the off-diagonal
-    Frobenius norm to drop below JACOBI_RTOL times the matrix norm; failure to
-    converge within ``max_sweeps`` raises EigenSolverError.
+    ``values[..., k]`` ascend along the last axis and ``vectors[..., :, k]``
+    is the matching orthonormal eigenvector.  Identical input gives identical
+    output on the same machine and BLAS build.
     """
-    h = hermitian_matrix(entries, atol=atol)
-    n = h.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return EigenDecomposition(values=h.real.diagonal().copy(), vectors=v)
-
-    scale = float(np.linalg.norm(h))
-    if scale == 0.0:
-        return EigenDecomposition(values=np.zeros(n), vectors=v)
-    threshold = JACOBI_RTOL * scale
-
-    h = h.copy()
-    for _sweep in range(max_sweeps):
-        if _offdiag_norm(h) <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                hpq = h[p, q]
-                if hpq == 0.0:
-                    continue
-                # Phase rotation makes the (p, q) entry real, then a real
-                # Jacobi rotation annihilates it.
-                alpha = math.atan2(hpq.imag, hpq.real)
-                mag = abs(hpq)
-                app = h[p, p].real
-                aqq = h[q, q].real
-                tau = (aqq - app) / (2.0 * mag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                u = complex(math.cos(alpha), -math.sin(alpha))  # e^{-i alpha}
-                # Column update: H <- H G with G_pp=c, G_pq=s, G_qp=-s*u, G_qq=c*u
-                col_p = h[:, p].copy()
-                col_q = h[:, q].copy()
-                h[:, p] = c * col_p - s * u * col_q
-                h[:, q] = s * col_p + c * u * col_q
-                # Row update: H <- G^dag H
-                row_p = h[p, :].copy()
-                row_q = h[q, :].copy()
-                h[p, :] = c * row_p - s * np.conj(u) * row_q
-                h[q, :] = s * row_p + c * np.conj(u) * row_q
-                # Clean the annihilated pair against roundoff drift.
-                h[p, q] = 0.0
-                h[q, p] = 0.0
-                h[p, p] = h[p, p].real
-                h[q, q] = h[q, q].real
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * u * vec_q
-                v[:, q] = s * vec_p + c * u * vec_q
-    if _offdiag_norm(h) > threshold:
-        raise EigenSolverError(
-            f"Jacobi did not converge in {max_sweeps} sweeps: "
-            f"off-diagonal norm {_offdiag_norm(h):.3e} vs threshold {threshold:.3e} "
-            f"for a {n}x{n} matrix of norm {scale:.3e}"
-        )
-
-    values = h.real.diagonal().copy()
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values=values[order], vectors=v[:, order])
+    values, vectors = np.linalg.eigh(hermitian_matrix(entries, atol=atol))
+    return EigenDecomposition(values=values, vectors=vectors)

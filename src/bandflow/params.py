@@ -2,8 +2,22 @@
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
+
+
+_REAL = (int, float)
+
+
+def _is_finite(value, types) -> bool:
+    """True for a finite value of one of ``types``; a bool never counts."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        return False
+    try:
+        return cmath.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -23,11 +37,13 @@ class PhysParams:
     S: float
 
     def __post_init__(self):
-        for name in ("A", "delta", "d"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or value != value:
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        if not isinstance(self.L, int) or self.L < 0:
+        for name in ("A", "delta", "d", "S"):
+            if not _is_finite(getattr(self, name), _REAL):
+                raise ValueError(f"{name} must be a finite real number, "
+                                 f"got {getattr(self, name)!r}")
+        if not _is_finite(self.gamma, (*_REAL, complex)):
+            raise ValueError(f"gamma must be a finite complex number, got {self.gamma!r}")
+        if not isinstance(self.L, int) or isinstance(self.L, bool) or self.L < 0:
             raise ValueError(f"L must be a non-negative integer, got {self.L!r}")
         two_s = 2.0 * float(self.S)
         if self.S < 0 or abs(two_s - round(two_s)) > 1e-12:

@@ -113,14 +113,22 @@ def h_semiquantum(point, params: PhysParams) -> np.ndarray:
 
     H(x) = 2 S_z (A + delta*x3 + d*x3^2) + gamma (x1 + i x2) S_-
     + conj(gamma) (x1 - i x2) S_+, tridiagonal in the m = S .. -S basis.
+    A point of shape (3,) gives one (2S+1, 2S+1) matrix; a stack of shape
+    (n, 3) gives the (n, 2S+1, 2S+1) stack of matrices.
     """
-    x1, x2, x3 = (float(c) for c in point)
-    r2 = x1 * x1 + x2 * x2 + x3 * x3
-    if abs(r2 - 1.0) > 1e-12:
-        raise ValueError(f"point must lie on the unit sphere, |x|^2 = {r2!r}")
+    x = np.asarray(point, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 3:
+        raise ValueError(f"expected a point of shape (3,) or (n, 3), got {x.shape}")
+    r2 = np.sum(x * x, axis=-1)
+    off_sphere = r2[np.abs(r2 - 1.0) > 1e-12]
+    if off_sphere.size:
+        raise ValueError(
+            f"point must lie on the unit sphere, |x|^2 = {float(off_sphere[0])!r}")
     ops = spin_operators(params.S)
+    # Trailing axes broadcast each coordinate against the spin matrices.
+    x1, x2, x3 = (x[..., i, None, None] for i in range(3))
     f = params.A + params.delta * x3 + params.d * x3 * x3
-    w = params.gamma * complex(x1, x2)
+    w = params.gamma * (x1 + 1j * x2)
     return 2.0 * f * ops.sz + w * ops.sminus + np.conj(w) * ops.splus
 
 
@@ -183,23 +191,14 @@ class ChernReport:
 
 
 def _band_vectors(params: PhysParams, mesh: SphereMesh):
-    """Eigensolve every vertex; return (vectors, min_gap, argmin vertex, scale)."""
-    nv = mesh.n_vertices
-    dim = params.n_bands
-    vectors = np.empty((nv, dim, dim), dtype=np.complex128)
-    min_gap = np.inf
-    min_at = -1
-    max_abs = 0.0
-    for i in range(nv):
-        decomp = eigh(h_semiquantum(mesh.vertices[i], params))
-        vectors[i] = decomp.vectors
-        max_abs = max(max_abs, float(np.max(np.abs(decomp.values))))
-        if dim > 1:
-            gap = float(np.min(np.diff(decomp.values)))
-            if gap < min_gap:
-                min_gap = gap
-                min_at = i
-    return vectors, min_gap, min_at, max_abs
+    """Eigensolve all vertices at once; return (vectors, min_gap, argmin vertex, scale)."""
+    decomp = eigh(h_semiquantum(mesh.vertices, params))
+    max_abs = float(np.max(np.abs(decomp.values)))
+    if params.n_bands == 1:
+        return decomp.vectors, np.inf, -1, max_abs
+    gaps = np.min(np.diff(decomp.values, axis=-1), axis=-1)
+    min_at = int(np.argmin(gaps))
+    return decomp.vectors, float(gaps[min_at]), min_at, max_abs
 
 
 def chern_numbers(params: PhysParams, mesh: SphereMesh,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import tempfile
 from pathlib import Path
 
 
@@ -13,10 +14,30 @@ def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _new_file_mode() -> int:
+    """Permissions a plain open() would give a new file under the umask."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Write through a temp file unique to this call, then rename it into place.
+
+    Concurrent writers sharing a directory never collide, and no leftover
+    temp file can block a later write.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        # mkstemp creates the file owner-only; give it the usual permissions.
+        os.chmod(tmp, _new_file_mode())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_csv(path, header, rows) -> None:

@@ -98,13 +98,23 @@ class JointSpectrum:
 
 
 def joint_spectrum(params: PhysParams) -> JointSpectrum:
-    """Eigensolve every J_z block and tag each level with its (jz, n) address."""
-    levels = []
-    for block in jz_blocks(params):
-        decomp = eigh(block.matrix)
-        for n, energy in enumerate(decomp.values):
-            levels.append(Level(jz=block.jz, n=n, energy=float(energy)))
-    return JointSpectrum(params=params, levels=tuple(levels))
+    """Eigensolve every J_z block and tag each level with its (jz, n) address.
+
+    Blocks of equal dimension are stacked and solved in one ``eigh`` call.
+    """
+    blocks = jz_blocks(params)
+    by_dim: dict[int, list[int]] = {}
+    for i, block in enumerate(blocks):
+        by_dim.setdefault(block.dim, []).append(i)
+    values = [None] * len(blocks)
+    for members in by_dim.values():
+        stacked = eigh(np.stack([blocks[i].matrix for i in members])).values
+        for i, block_values in zip(members, stacked):
+            values[i] = block_values
+    levels = tuple(Level(jz=block.jz, n=n, energy=float(energy))
+                   for block, block_values in zip(blocks, values)
+                   for n, energy in enumerate(block_values))
+    return JointSpectrum(params=params, levels=levels)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import json
+import os
 
 import numpy as np
+import pytest
 
 from bandflow.cli import main
 from bandflow.serialize import fmt_float, read_csv, write_csv, write_json
@@ -45,7 +47,24 @@ def test_json_atomic_write(tmp_path):
     path = tmp_path / "t.json"
     write_json(path, {"x": 1.0 / 3.0})
     assert json.loads(path.read_text())["x"] == 1.0 / 3.0
-    assert not path.with_name(path.name + ".tmp").exists()
+    assert list(tmp_path.iterdir()) == [path]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_leftover_tmp_directory_does_not_block_writes(tmp_path):
+    config = write_config(tmp_path, {
+        "schema_version": 1,
+        "params": FIG_TWO_BAND_PARAMS,
+        "a_grid": [20.0],
+    })
+    out = tmp_path / "out"
+    (out / "spectrum.csv.tmp").mkdir(parents=True)
+    assert run("spectrum", config, out) == 0
+    assert len(read_csv(out / "spectrum.csv")[1]) == 22
+    assert sorted(p.name for p in out.iterdir()) == ["spectrum.csv",
+                                                     "spectrum.csv.tmp"]
 
 
 # ---------------------------------------------------------------- spectrum
@@ -113,9 +132,39 @@ def test_cmd_chern_all_valid_exit_zero(tmp_path):
         "mesh": {"n_theta": 16, "n_phi": 16},
     })
     out = tmp_path / "out"
-    assert run("chern", config, out, "--threads", "2") == 0
+    assert run("chern", config, out) == 0
     _, rows = read_csv(out / "chern.csv")
     assert [r[4] for r in rows] == ["true"] * 3
+
+
+def test_cmd_chern_coarse_mesh_is_refusal(tmp_path, capsys):
+    config = write_config(tmp_path, {
+        "schema_version": 1,
+        "params": {"delta": 1.0, "d": 0.0, "gamma_re": 1.0, "gamma_im": 0.0,
+                   "L": 5, "S": 3.0},
+        "a_grid": [0.0],
+        "mesh": {"n_theta": 4, "n_phi": 4},
+    })
+    assert run("chern", config, tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("refusal:") and "refine the mesh" in err
+    assert "Traceback" not in err
+
+
+def test_cmd_chern_eigensolver_failure_is_refusal(tmp_path, monkeypatch, capsys):
+    import bandflow.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli_mod, "chern_numbers", boom)
+    config = write_config(tmp_path, {
+        "schema_version": 1,
+        "params": LADDER_PARAMS,
+        "a_grid": [0.0],
+    })
+    assert run("chern", config, tmp_path / "out") == 3
+    assert capsys.readouterr().err.startswith("refusal:")
 
 
 # ---------------------------------------------------------------- emmap / dh
@@ -251,15 +300,16 @@ def test_missing_param_key(tmp_path, capsys):
     assert "params.S" in capsys.readouterr().err
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("BANDFLOW_THREADS", "2")
+@pytest.mark.parametrize("key,value", [("L", True), ("S", "1"), ("A", None),
+                                       ("gamma_im", "2")])
+def test_invalid_param_value_is_config_error(tmp_path, capsys, key, value):
     config = write_config(tmp_path, {
         "schema_version": 1,
-        "params": LADDER_PARAMS,
-        "a_grid": [-2.0, 2.0],
-        "mesh": {"n_theta": 8, "n_phi": 8},
+        "params": {**LADDER_PARAMS, "A": 0.0, key: value},
+        "a_grid": [0.0],
     })
-    assert run("chern", config, tmp_path / "out") == 0
+    assert run("spectrum", config, tmp_path / "out") == 2
+    assert key in capsys.readouterr().err
 
 
 def test_spectrum_deterministic_outputs(tmp_path):

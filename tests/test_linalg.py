@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from oracles import JacobiConvergenceError, jacobi_eigh
 
-from bandflow.linalg import (EigenSolverError, eigh, hermitian_matrix,
-                             spin_operators)
+from bandflow.linalg import eigh, hermitian_matrix, spin_operators
+
+
+def random_hermitian(rng, *shape):
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
 
 def test_hermitian_matrix_accepts_and_symmetrizes():
@@ -17,6 +22,16 @@ def test_hermitian_matrix_rejects_bad_input():
         hermitian_matrix([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_matrix([[0.0, 1.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match="square"):
+        hermitian_matrix(np.zeros(3))
+
+
+def test_hermitian_matrix_rejects_stack_with_one_bad_member():
+    stack = random_hermitian(np.random.default_rng(7), 4, 3, 3)
+    assert np.array_equal(hermitian_matrix(stack), stack)
+    stack[2, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="Hermitian"):
+        hermitian_matrix(stack)
 
 
 def test_spin_half_is_half_pauli():
@@ -86,9 +101,7 @@ def test_eigh_block_example_sqrt_two():
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 21, 34, 64])
 def test_eigh_random_hermitian(dim):
-    rng = np.random.default_rng(dim)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = 0.5 * (a + a.conj().T)
+    h = random_hermitian(np.random.default_rng(dim), dim, dim)
     decomp = eigh(h)
     norm = np.linalg.norm(h)
     assert np.all(np.diff(decomp.values) >= 0)
@@ -98,15 +111,27 @@ def test_eigh_random_hermitian(dim):
     assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
     recon = decomp.vectors @ np.diag(decomp.values) @ decomp.vectors.conj().T
     assert np.linalg.norm(recon - h) <= 1e-9 * (1 + norm)
-    # LAPACK as the independent reference for the eigenvalues
-    assert np.allclose(decomp.values, np.linalg.eigvalsh(h),
+    # cyclic Jacobi as the LAPACK-free reference for the eigenvalues
+    assert np.allclose(decomp.values, jacobi_eigh(h)[0],
                        atol=1e-10 * (1 + norm))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_eigh_stack_matches_per_matrix(dim):
+    stack = random_hermitian(np.random.default_rng(dim), 6, dim, dim)
+    batched = eigh(stack)
+    assert batched.values.shape == (6, dim)
+    assert batched.vectors.shape == (6, dim, dim)
+    for k, h in enumerate(stack):
+        single = eigh(h)
+        assert np.allclose(batched.values[k], single.values, rtol=0, atol=1e-12)
+        # eigenvectors agree up to one phase per column
+        overlap = np.abs(np.sum(batched.vectors[k].conj() * single.vectors, axis=0))
+        assert np.allclose(overlap, 1.0, rtol=0, atol=1e-10)
+
+
 def test_eigh_deterministic():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = 0.5 * (a + a.conj().T)
+    h = random_hermitian(np.random.default_rng(3), 6, 6)
     d1 = eigh(h)
     d2 = eigh(h)
     assert np.array_equal(d1.values, d2.values)
@@ -114,8 +139,6 @@ def test_eigh_deterministic():
 
 
 def test_eigh_nonconvergence_diagnostics():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    h = 0.5 * (a + a.conj().T)
-    with pytest.raises(EigenSolverError, match="did not converge"):
-        eigh(h, max_sweeps=1)
+    h = random_hermitian(np.random.default_rng(5), 8, 8)
+    with pytest.raises(JacobiConvergenceError, match="did not converge"):
+        jacobi_eigh(h, max_sweeps=1)

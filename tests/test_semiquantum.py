@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import analytic_chern
 
 from bandflow.linalg import eigh
 from bandflow.params import PhysParams
@@ -127,6 +128,19 @@ def test_energy_reflection_two_level():
 def test_rejects_off_sphere_points():
     with pytest.raises(ValueError, match="unit sphere"):
         h_semiquantum((0.0, 0.0, 1.1), params())
+    with pytest.raises(ValueError, match="unit sphere"):
+        h_semiquantum([(0.0, 0.0, 1.0), (0.0, 1.1, 0.0)], params())
+    with pytest.raises(ValueError, match="shape"):
+        h_semiquantum((0.0, 1.0), params())
+
+
+def test_stacked_points_match_single_points():
+    p = params(A=0.3, delta=0.8, d=-0.4, gamma=0.6 - 1.2j, S=1.5, L=2)
+    points = MESH.vertices[::97]
+    stack = h_semiquantum(points, p)
+    assert stack.shape == (len(points), 4, 4)
+    for x, h in zip(points, stack):
+        assert np.array_equal(h, h_semiquantum(x, p))
 
 
 # ---------------------------------------------------------------- walls
@@ -186,6 +200,17 @@ def test_n_band_chern_ladder(s, expected):
     rep = chern_numbers(p, MESH)
     assert rep.chern == expected
     assert sum(rep.chern) == 0
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("delta,a", [(1.0, -2.0), (1.0, -0.25), (1.0, 1.5),
+                                     (-1.0, -0.25)])
+def test_chern_matches_analytic_oracle(s, delta, a):
+    # walls at A = -d -+ delta = -1.25 and 0.75; every A is >= 0.75 away
+    p = PhysParams(A=a, delta=delta, d=0.25, gamma=0.8 - 0.6j, L=5, S=s)
+    rep = chern_numbers(p, MESH)
+    assert rep.valid
+    assert rep.chern == analytic_chern(p)
 
 
 def test_chern_independent_of_gamma_phase():

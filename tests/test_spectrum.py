@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import (dense_hamiltonian, dense_jz, dense_spectrum,
+from oracles import (dense_hamiltonian, dense_jz, dense_spectrum, jacobi_eigh,
                      one_dim_energies, two_level_block_eigenvalues)
 
 from bandflow.linalg import eigh
@@ -26,6 +26,20 @@ def test_phys_params_validation():
         PhysParams(A=0.0, delta=0.0, d=0.0, gamma=1.0, L=2, S=0.3)
     with pytest.warns(UserWarning, match="exceeds"):
         PhysParams(A=0.0, delta=0.0, d=0.0, gamma=1.0, L=1, S=2.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("A", float("inf")), ("A", True), ("A", "0.5"), ("delta", float("nan")),
+    ("d", None), pytest.param("d", 10 ** 400, id="d-huge-int"),
+    ("gamma", complex(float("nan"), 1.0)),
+    ("gamma", complex(1.0, float("inf"))), ("gamma", True), ("gamma", "1+2j"),
+    ("L", True), ("L", 5.0), ("S", "1"), ("S", True), ("S", float("inf")),
+])
+def test_phys_params_rejects(field, value):
+    kw = dict(A=0.0, delta=1.0, d=0.0, gamma=1.0 + 0.0j, L=5, S=1.0)
+    kw[field] = value
+    with pytest.raises(ValueError, match=field):
+        PhysParams(**kw)
 
 
 def test_block_dims_s2_l5():
@@ -116,6 +130,19 @@ def test_blocked_equals_dense_spectrum(s, l):
         expected = dense_spectrum(p)
         assert len(got) == p.n_levels
         assert np.max(np.abs(got - expected)) < 1e-9
+
+
+@pytest.mark.parametrize("l,s,d,gamma", [
+    (3, 0.5, 0.3, 1.0 + 2.0j), (5, 1.0, -0.2, 0.5 - 1.0j),
+    (4, 1.5, 0.1, -1.0 + 0.5j), (6, 2.5, -0.05, 2.0j),
+])
+def test_block_eigenvalues_match_jacobi(l, s, d, gamma):
+    p = params(A=0.7, delta=1.3, d=d, gamma=gamma, L=l, S=s)
+    spec = joint_spectrum(p)
+    scale = np.max(np.abs(spec.energies()))
+    for block in jz_blocks(p):
+        reference = jacobi_eigh(block.matrix)[0]
+        assert np.max(np.abs(spec.column(block.jz) - reference)) <= 1e-11 * scale
 
 
 def test_jz_commutes_with_dense_hamiltonian():
